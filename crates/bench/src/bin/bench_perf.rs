@@ -21,9 +21,16 @@
 //! `--quick` runs only those three sections. `--no-simd` forces the
 //! scalar fallback for the whole run (the external A/B switch).
 //!
+//! The hot-path section also records the *client-crypto* fixture in
+//! `BENCH_hotpath.json`: median µs of symmetric `encrypt`, single
+//! `decrypt`, and batched decryption per ciphertext, at
+//! `HeParams::flash_pow2()` and `flash_default()` (N = 4096), with its
+//! own calibration (`client_calib_ms`).
+//!
 //! `--check-regression` measures nothing new: it re-times the hot-path,
-//! sparse-path, and SIMD-dispatch HConv medians, the power-of-two MAC
-//! kernel, the serving layer's batched cost per request (the
+//! sparse-path, and SIMD-dispatch HConv medians, the client-crypto
+//! fixture, the power-of-two MAC kernel, the serving layer's batched
+//! cost per request (the
 //! `bench_serve` wave, same fixture), and the end-to-end private
 //! inference fixture (the `bench_e2e` synthetic sample) and fails
 //! (exit 1) if any is more than 15 % slower than the committed
@@ -67,7 +74,7 @@ use flash_bench::{chaos, serving};
 use flash_dse::bayesopt::random_search;
 use flash_dse::{DesignSpace, Objective};
 use flash_he::encoding::{ConvEncoder, ConvShape};
-use flash_he::{HeParams, PolyMulBackend, SecretKey};
+use flash_he::{HeParams, Poly, PolyMulBackend, SecretKey};
 use flash_hw::arch::FlashArch;
 use flash_math::modular::Barrett;
 use flash_math::pow2;
@@ -99,6 +106,89 @@ fn paired_median(fixture: &HconvFixture, engine: &FlashHconv, reps: usize) -> (f
         best.1 = best.1.min(fixture.median(engine, reps));
     }
     best
+}
+
+/// The client-crypto fixture's parameter sets: the paper's operating
+/// point on both ring families.
+fn client_crypto_rings() -> [(&'static str, HeParams); 2] {
+    [
+        ("pow2", HeParams::flash_pow2()),
+        ("prime", HeParams::flash_default()),
+    ]
+}
+
+/// One operation of the client-crypto fixture.
+#[derive(Clone, Copy)]
+enum CryptoOp {
+    Encrypt,
+    Decrypt,
+    DecryptBatch,
+}
+
+impl CryptoOp {
+    const ALL: [CryptoOp; 3] = [CryptoOp::Encrypt, CryptoOp::Decrypt, CryptoOp::DecryptBatch];
+
+    /// The `BENCH_hotpath.json` key of this operation on ring `ring`.
+    fn key(self, ring: &str) -> String {
+        let op = match self {
+            CryptoOp::Encrypt => "encrypt_us",
+            CryptoOp::Decrypt => "decrypt_us",
+            CryptoOp::DecryptBatch => "decrypt_batch_us_per_ct",
+        };
+        format!("client_{ring}_{op}")
+    }
+}
+
+/// Median µs per ciphertext of one client-crypto operation: symmetric
+/// `encrypt`, single `decrypt`, or `try_decrypt_batch` over one block of
+/// `simd::lanes()` ciphertexts (divided by the block). A private
+/// inference runs these once per uploaded and per downloaded
+/// ciphertext, so re-transforming the key per call shows up here first.
+fn client_crypto_us(params: &HeParams, op: CryptoOp) -> f64 {
+    const CALLS: usize = 128;
+    let mut rng = StdRng::seed_from_u64(3);
+    let sk = SecretKey::generate(params, &mut rng);
+    let m = Poly::uniform(params.n, params.t, &mut rng);
+    let cts: Vec<_> = (0..simd::lanes())
+        .map(|_| sk.encrypt(&m, &mut rng))
+        .collect();
+    let mut run = || match op {
+        CryptoOp::Encrypt => drop(std::hint::black_box(sk.encrypt(&m, &mut rng))),
+        CryptoOp::Decrypt => drop(std::hint::black_box(sk.decrypt(&cts[0]))),
+        CryptoOp::DecryptBatch => drop(std::hint::black_box(sk.try_decrypt_batch(&cts))),
+    };
+    warm_up(50, 3, &mut run);
+    let per_call_ms = median_ms(CALLS, run);
+    let per_ct_ms = match op {
+        CryptoOp::DecryptBatch => per_call_ms / cts.len() as f64,
+        _ => per_call_ms,
+    };
+    per_ct_ms * 1e3
+}
+
+/// The `"client_crypto"` stanza of `BENCH_hotpath.json`: every fixture
+/// value as the minimum of three medians, each paired with a
+/// calibration run whose minimum is recorded as the stanza's own
+/// `client_calib_ms` (the uncontended cost of both, as
+/// [`paired_median`] records the layer). The stanza carries its own
+/// calibration so it can be re-measured without re-measuring the layer.
+fn client_crypto_json() -> String {
+    let mut calib = f64::INFINITY;
+    let mut rows = Vec::new();
+    for (ring, params) in client_crypto_rings() {
+        for op in CryptoOp::ALL {
+            let mut us = f64::INFINITY;
+            for _ in 0..3 {
+                calib = calib.min(calibration_ms());
+                us = us.min(client_crypto_us(&params, op));
+            }
+            let key = op.key(ring);
+            println!("{key:34} {us:9.1} us");
+            rows.push(format!("    \"{key}\": {us:.1}"));
+        }
+    }
+    rows.insert(0, format!("    \"client_calib_ms\": {calib:.4}"));
+    format!("  \"client_crypto\": {{\n{}\n  }},\n", rows.join(",\n"))
 }
 
 struct Row {
@@ -271,13 +361,17 @@ fn check_regression() -> i32 {
     let simd_fixture = HconvFixture::simd();
     let simd_engine = FlashHconv::new(simd_fixture.cfg.clone());
     let mut failures = 0;
-    let mut check = |name: &str, file: &str, key: &str, measure: &mut dyn FnMut() -> f64| {
+    let mut check = |name: &str,
+                     file: &str,
+                     key: &str,
+                     calib_key: &str,
+                     measure: &mut dyn FnMut() -> f64| {
         match std::fs::read_to_string(file) {
             Err(_) => println!("{name:34} no baseline ({file} missing); skipped"),
             Ok(text) => match parse_json_number(&text, key) {
                 None => println!("{name:34} no baseline ({file} missing {key}); skipped"),
                 Some(base) => {
-                    let base_calib = parse_json_number(&text, "calib_ms").filter(|c| *c > 0.0);
+                    let base_calib = parse_json_number(&text, calib_key).filter(|c| *c > 0.0);
                     // Each attempt pairs the benchmark measurement with a
                     // calibration run taken moments before it, and scores
                     // the *smaller* of the raw wall-clock ratio and the
@@ -307,8 +401,10 @@ fn check_regression() -> i32 {
                         }
                     }
                     let ok = ratio <= TOLERANCE;
+                    // Every baseline key names its unit (`…_ms…` / `…_us…`).
+                    let unit = if key.contains("_us") { "us" } else { "ms" };
                     println!(
-                    "{name:34} fresh {fresh:9.3} ms  baseline {base:9.3} ms  host speed {speed:5.2}x  ratio {ratio:5.2}  {}",
+                    "{name:34} fresh {fresh:9.3} {unit}  baseline {base:9.3} {unit}  host speed {speed:5.2}x  ratio {ratio:5.2}  {}",
                     if ok { "OK" } else { "REGRESSION" }
                 );
                     if !ok {
@@ -322,24 +418,42 @@ fn check_regression() -> i32 {
         "hconv_layer_hotpath",
         "BENCH_hotpath.json",
         "median_ms",
+        "calib_ms",
         &mut || fixture.median(&engine, 5),
     );
     check(
         "hconv_layer_sparse",
         "BENCH_sparse.json",
         "hconv_sparse_median_ms",
+        "calib_ms",
         &mut || fixture.median(&engine, 5),
     );
     check(
         "hconv_layer_simd",
         "BENCH_simd.json",
         "hconv_simd_median_ms",
+        "calib_ms",
         &mut || simd_fixture.median(&simd_engine, 5),
     );
+    // The client-crypto gate: encrypt, decrypt and batched decrypt per
+    // ciphertext at N = 4096 on both ring families.
+    for (ring, params) in client_crypto_rings() {
+        for op in CryptoOp::ALL {
+            let key = op.key(ring);
+            check(
+                &key,
+                "BENCH_hotpath.json",
+                &key,
+                "client_calib_ms",
+                &mut || client_crypto_us(&params, op),
+            );
+        }
+    }
     check(
         "pow2_mac_kernel",
         "BENCH_backends.json",
         "pow2_mac_ms",
+        "calib_ms",
         &mut || pow2_mac_ms(),
     );
     // The end-to-end gate re-runs the `bench_e2e` fixture (one private
@@ -350,6 +464,7 @@ fn check_regression() -> i32 {
         "e2e_private_fixture",
         "BENCH_e2e.json",
         "fixture_ms",
+        "calib_ms",
         &mut flash_accel::e2e::fixture_run_ms,
     );
     // The serving gate re-runs the exact wave shape the committed
@@ -365,6 +480,7 @@ fn check_regression() -> i32 {
         "serve_batched_per_request",
         "BENCH_serve.json",
         "batched_ms_per_req",
+        "calib_ms",
         &mut || serving::run_wave(BatchPolicy::batched(), 1, serve_clients, 2, false).ms_per_req(),
     );
     // The chaos gate re-runs the clean baseline cell of the committed
@@ -381,6 +497,7 @@ fn check_regression() -> i32 {
         "serve_chaos_clean_path",
         "BENCH_chaos.json",
         "clean_ms_per_req",
+        "calib_ms",
         &mut || {
             chaos::run_cell(
                 &chaos::CellSpec {
@@ -1232,6 +1349,9 @@ fn main() {
                 .expect("bench protocol run failed");
         });
     }
+    // Client crypto runs before the pool counters reset, so the pool
+    // stats below still cover only the timed layer runs.
+    let client_crypto = client_crypto_json();
     flash_runtime::U64_SCRATCH.reset_stats();
     flash_runtime::F64_SCRATCH.reset_stats();
     flash_runtime::I128_SCRATCH.reset_stats();
@@ -1256,6 +1376,7 @@ fn main() {
     hot_json.push_str(&format!("  \"median_ms\": {hot:.4},\n"));
     hot_json.push_str(&format!("  \"baseline_median_ms\": {baseline:.4},\n"));
     hot_json.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
+    hot_json.push_str(&client_crypto);
     hot_json.push_str("  \"pool_stats\": {\n");
     let pools = [
         pool_stats_json("u64", flash_runtime::U64_SCRATCH.stats()),

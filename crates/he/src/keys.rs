@@ -7,15 +7,22 @@
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
 use crate::poly::Poly;
-use flash_math::modular::add_mod;
+use flash_math::modular::{add_mod, sub_mod};
+use flash_ntt::polymul::ShoupSpectrum;
 use flash_runtime::U64_SCRATCH;
 use rand::Rng;
 
 /// A BFV secret key (ternary).
+///
+/// The key is kept only as its forward-NTT spectra, one per exact limb
+/// of the ring, in Shoup form ([`HeParams::hoist_key`]): every product
+/// with `s` — encryption's `a·s`, decryption's `c1·s` — then transforms
+/// only the other operand. `16·N` bytes per limb (128 KB at `N = 4096`
+/// on a power-of-two ring).
 #[derive(Debug, Clone)]
 pub struct SecretKey {
     params: HeParams,
-    s: Poly,
+    spectra: Vec<ShoupSpectrum>,
 }
 
 /// A BFV public key: an encryption of zero `(p0, p1) = (−a·s + e, a)`.
@@ -61,10 +68,25 @@ impl PublicKey {
 impl SecretKey {
     /// Samples a fresh ternary secret key.
     pub fn generate<R: Rng>(params: &HeParams, rng: &mut R) -> Self {
-        let s = Poly::ternary(params.n, params.q, rng);
+        Self::from_ternary(params, &Poly::ternary(params.n, params.q, rng))
+    }
+
+    /// Builds the key for a given ternary secret `s` (coefficients `0`,
+    /// `1` or `q − 1`), hoisting its spectra.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a ternary polynomial of degree `N` mod `q`.
+    pub fn from_ternary(params: &HeParams, s: &Poly) -> Self {
+        assert_eq!(s.modulus(), params.q, "secret must be mod q");
+        assert_eq!(s.len(), params.n, "secret length must be N");
+        assert!(
+            s.coeffs().iter().all(|&c| c <= 1 || c == params.q - 1),
+            "secret must be ternary"
+        );
         Self {
             params: params.clone(),
-            s,
+            spectra: params.hoist_key(s.coeffs()),
         }
     }
 
@@ -78,10 +100,17 @@ impl SecretKey {
         let p = &self.params;
         let a = Poly::uniform(p.n, p.q, rng);
         let e = Poly::gaussian(p.n, p.q, p.noise_std, rng);
-        let a_s = Poly::from_coeffs(p.key_mul(a.coeffs(), self.s.coeffs()), p.q);
+        let mut a_s = U64_SCRATCH.take(p.n);
+        p.key_mul_hoisted_batch_into(&mut a_s, [a.coeffs()], &self.spectra);
+        let p0 = e
+            .coeffs()
+            .iter()
+            .zip(a_s.iter())
+            .map(|(&e, &x)| sub_mod(e, x, p.q))
+            .collect();
         PublicKey {
             params: p.clone(),
-            p0: e.sub(&a_s),
+            p0: Poly::from_coeffs(p0, p.q),
             p1: a,
         }
     }
@@ -99,28 +128,40 @@ impl SecretKey {
         let a = Poly::uniform(p.n, p.q, rng);
         let e = Poly::gaussian(p.n, p.q, p.noise_std, rng);
         let scaled_m = m.lift_to(p.q).scale(p.delta());
-        let a_s = Poly::from_coeffs(p.key_mul(a.coeffs(), self.s.coeffs()), p.q);
-        let c0 = scaled_m.add(&e).sub(&a_s);
-        Ciphertext::new(c0, a)
-    }
-
-    /// The raw decryption phase `c0 + c1·s` (mod `q`).
-    ///
-    /// Runs per ciphertext in the protocol's client step, so the `c1·s`
-    /// product stays in a scratch buffer; only the returned polynomial
-    /// is allocated.
-    pub fn phase(&self, ct: &Ciphertext) -> Poly {
-        let p = &self.params;
-        let mut c1_s = U64_SCRATCH.take(p.n);
-        p.key_mul_into(&mut c1_s, ct.c1().coeffs(), self.s.coeffs());
-        let coeffs = ct
-            .c0()
+        let mut a_s = U64_SCRATCH.take(p.n);
+        p.key_mul_hoisted_batch_into(&mut a_s, [a.coeffs()], &self.spectra);
+        let c0 = scaled_m
             .coeffs()
             .iter()
-            .zip(c1_s.iter())
-            .map(|(&a, &b)| add_mod(a, b, p.q))
+            .zip(e.coeffs())
+            .zip(a_s.iter())
+            .map(|((&m, &e), &x)| sub_mod(add_mod(m, e, p.q), x, p.q))
             .collect();
-        Poly::from_coeffs(coeffs, p.q)
+        Ciphertext::new(Poly::from_coeffs(c0, p.q), a)
+    }
+
+    /// The phases `c0 + c1·s` (mod `q`) of a batch, one per `N`-chunk of
+    /// `out`.
+    fn phases_into(&self, out: &mut [u64], cts: &[Ciphertext]) {
+        let q = self.params.q;
+        self.params.key_mul_hoisted_batch_into(
+            out,
+            cts.iter().map(|ct| ct.c1().coeffs()),
+            &self.spectra,
+        );
+        for (chunk, ct) in out.chunks_exact_mut(self.params.n).zip(cts) {
+            for (x, &c0) in chunk.iter_mut().zip(ct.c0().coeffs()) {
+                *x = add_mod(c0, *x, q);
+            }
+        }
+    }
+
+    /// The raw decryption phase `c0 + c1·s` (mod `q`). Allocates only
+    /// the returned polynomial.
+    pub fn phase(&self, ct: &Ciphertext) -> Poly {
+        let mut out = vec![0u64; self.params.n];
+        self.phases_into(&mut out, std::slice::from_ref(ct));
+        Poly::from_coeffs(out, self.params.q)
     }
 
     /// Decryption for wire-derived ciphertexts: validates the ciphertext
@@ -136,20 +177,50 @@ impl SecretKey {
         Ok(self.decrypt(ct))
     }
 
+    /// Decrypts a batch of wire-derived ciphertexts, validating every one
+    /// first (as [`try_decrypt`](SecretKey::try_decrypt) does). Blocks of
+    /// `flash_runtime::simd::lanes()` ciphertexts share each lane-parallel
+    /// transform; the plaintexts are bit-identical to per-ciphertext
+    /// [`decrypt`](SecretKey::decrypt), which is this path at a batch of
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::error::HeError`] on the first degree or modulus
+    /// mismatch; nothing is decrypted then.
+    pub fn try_decrypt_batch(
+        &self,
+        cts: &[Ciphertext],
+    ) -> Result<Vec<Poly>, crate::error::HeError> {
+        for ct in cts {
+            ct.validate_for(&self.params)?;
+        }
+        let mut out = Vec::with_capacity(cts.len());
+        self.decrypt_each(cts, |m| out.push(m));
+        Ok(out)
+    }
+
     /// Decrypts a ciphertext: `round(t/q · (c0 + c1·s)) mod t`.
+    ///
+    /// Allocates only the returned polynomial.
     pub fn decrypt(&self, ct: &Ciphertext) -> Poly {
+        let mut out = None;
+        self.decrypt_each(std::slice::from_ref(ct), |m| out = Some(m));
+        out.expect("one ciphertext in, one plaintext out")
+    }
+
+    /// The decryption path: phases for blocks of `simd::lanes()`
+    /// ciphertexts in pooled scratch, then one rounded plaintext per
+    /// ciphertext, handed to `emit` in order.
+    fn decrypt_each(&self, cts: &[Ciphertext], mut emit: impl FnMut(Poly)) {
         let p = &self.params;
-        let phase = self.phase(ct);
-        let coeffs = phase
-            .coeffs()
-            .iter()
-            .map(|&c| {
-                // round(t * c / q) mod t, in u128 to avoid overflow
-                let num = c as u128 * p.t as u128 + p.q as u128 / 2;
-                ((num / p.q as u128) % p.t as u128) as u64
-            })
-            .collect();
-        Poly::from_coeffs(coeffs, p.t)
+        for block in cts.chunks(flash_runtime::simd::lanes()) {
+            let mut phases = U64_SCRATCH.take(block.len() * p.n);
+            self.phases_into(&mut phases, block);
+            for phase in phases.chunks_exact(p.n) {
+                emit(Poly::from_coeffs(round_to_plaintext(phase, p), p.t));
+            }
+        }
     }
 
     /// Exact residual noise of a ciphertext that should decrypt to `m`:
@@ -165,6 +236,30 @@ impl SecretKey {
     pub fn noise_budget_bits(&self, ct: &Ciphertext, m: &Poly) -> f64 {
         let noise = self.noise(ct, m).inf_norm().max(1);
         (self.params.noise_ceiling() as f64).log2() - (noise as f64).log2()
+    }
+}
+
+/// `round(t·c/q) mod t` per phase coefficient `c ∈ [0, q)`.
+///
+/// With `q = 2^l` and `t = 2^k`, `Δ = q/t` is exact and the rounding is
+/// `⌊(c + Δ/2) / Δ⌋ mod t` — a shift and a mask, the same value as the
+/// `u128` division the prime ring needs.
+fn round_to_plaintext(phase: &[u64], p: &HeParams) -> Vec<u64> {
+    if p.is_pow2() {
+        let delta = p.delta();
+        let (shift, half, mask) = (delta.trailing_zeros(), delta / 2, p.t - 1);
+        phase
+            .iter()
+            .map(|&c| ((c + half) >> shift) & mask)
+            .collect()
+    } else {
+        phase
+            .iter()
+            .map(|&c| {
+                let num = c as u128 * p.t as u128 + p.q as u128 / 2;
+                ((num / p.q as u128) % p.t as u128) as u64
+            })
+            .collect()
     }
 }
 
@@ -188,8 +283,9 @@ mod tests {
 
     #[test]
     fn encrypt_decrypt_roundtrip_pow2_ring() {
-        // The whole key path — ternary sampling, a·s / p·u products via
-        // the CRT lift, Δ·m scaling, u128 rounding — on q = 2^62.
+        // The whole key path — ternary sampling, a·s through the hoisted
+        // key spectra, p·u through the per-call CRT lift, Δ·m scaling,
+        // shift rounding — on q = 2^62.
         let p = HeParams::pow2_test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let sk = SecretKey::generate(&p, &mut rng);

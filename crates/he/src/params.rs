@@ -24,6 +24,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use flash_fft::negacyclic::NegacyclicFft;
+use flash_ntt::polymul::{negacyclic_mul_hoisted_batch_assign, ShoupSpectrum};
 use flash_ntt::pow2::Pow2Ring;
 use flash_ntt::NttTables;
 
@@ -228,10 +229,13 @@ impl HeParams {
         &self.fft
     }
 
-    /// Exact negacyclic product for key operations (`a·s`, `p·u`, …)
-    /// where the second operand is *small* (ternary secrets, encryption
-    /// randomness): Shoup-NTT on a prime ring, CRT-NTT lift on a
-    /// power-of-two ring. Never used on the MAC hot path.
+    /// Exact negacyclic product for key operations where the second
+    /// operand is *small* and fresh per call (public-key encryption
+    /// randomness `u`): both operands are transformed, on the ring's own
+    /// NTT for a prime `q` and through the two-limb CRT lift for `2^l`.
+    /// The secret key's products skip the key's transforms instead —
+    /// see [`HeParams::hoist_key`] and [`HeParams::key_mul_hoisted_batch_into`].
+    /// Never used on the MAC hot path.
     pub fn key_mul_into(&self, out: &mut [u64], a: &[u64], b_small: &[u64]) {
         match &self.ring {
             RingCtx::Prime(t) => {
@@ -246,6 +250,54 @@ impl HeParams {
         let mut out = vec![0u64; self.n];
         self.key_mul_into(&mut out, a, b_small);
         out
+    }
+
+    /// Hoists a small key-side operand that multiplies many others (a
+    /// ternary secret): its forward spectrum in each exact limb, in Shoup
+    /// form — one limb (`q` itself) on a prime ring, the two CRT helper
+    /// primes on a power-of-two ring. Built once per key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b_small.len() != n`.
+    pub fn hoist_key(&self, b_small: &[u64]) -> Vec<ShoupSpectrum> {
+        match &self.ring {
+            RingCtx::Prime(t) => vec![ShoupSpectrum::new(b_small, t)],
+            RingCtx::Pow2(r) => r.hoist_small(b_small),
+        }
+    }
+
+    /// Exact products `out_k = a_k · b` of a batch of operands `a_k`
+    /// (residues mod `q`, one per `N`-chunk of `out`) against an operand
+    /// hoisted by [`HeParams::hoist_key`]. Per limb: one lane-parallel
+    /// forward transform of the batch, a Shoup point-wise product and one
+    /// inverse; a power-of-two ring adds a division-free lift in and a
+    /// two-limb Garner step out. Bit-identical to
+    /// [`HeParams::key_mul_into`] per operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not a multiple of `N`, or `a` does not
+    /// yield exactly `out.len() / N` operands of length `N`.
+    pub fn key_mul_hoisted_batch_into<'a>(
+        &self,
+        out: &mut [u64],
+        a: impl IntoIterator<Item = &'a [u64]>,
+        b: &[ShoupSpectrum],
+    ) {
+        match &self.ring {
+            RingCtx::Prime(t) => {
+                let n = self.n;
+                assert_eq!(out.len() % n, 0, "output length must be a multiple of N");
+                let mut a = a.into_iter();
+                for chunk in out.chunks_exact_mut(n) {
+                    chunk.copy_from_slice(a.next().expect("fewer operands than the output batch"));
+                }
+                assert!(a.next().is_none(), "more operands than the output batch");
+                negacyclic_mul_hoisted_batch_assign(out, &b[0], t);
+            }
+            RingCtx::Pow2(r) => r.mul_hoisted_batch_into(out, a, b),
+        }
     }
 }
 

@@ -8,12 +8,20 @@
 
 use crate::modular::{inv_mod, mul_mod, sub_mod};
 
+/// Most limbs a [`CrtBasis`] holds: Garner's digits then live in a
+/// fixed-size stack array, and every intermediate fits `u128`.
+pub const MAX_LIMBS: usize = 3;
+
 /// A CRT basis: pairwise-coprime moduli and the Garner precomputation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrtBasis {
     moduli: Vec<u64>,
     /// `inv[j][i] = (q_i)^{-1} mod q_j` for `i < j` (Garner constants).
     inv: Vec<Vec<u64>>,
+    /// The modulus product `Q`.
+    product: u128,
+    /// `⌊Q/2⌋`, the center-lift threshold.
+    half: u128,
 }
 
 impl CrtBasis {
@@ -21,11 +29,17 @@ impl CrtBasis {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than one modulus is given, any modulus is < 2, the
-    /// moduli are not pairwise coprime, or the product would overflow
-    /// `u128` headroom for centered lifts (`Π q_i ≥ 2^126`).
+    /// Panics if fewer than one or more than [`MAX_LIMBS`] moduli are
+    /// given, any modulus is < 2, the moduli are not pairwise coprime, or
+    /// the product would overflow `u128` headroom for centered lifts
+    /// (`Π q_i ≥ 2^126`).
     pub fn new(moduli: Vec<u64>) -> Self {
         assert!(!moduli.is_empty(), "need at least one modulus");
+        assert!(
+            moduli.len() <= MAX_LIMBS,
+            "at most {MAX_LIMBS} limbs, got {}",
+            moduli.len()
+        );
         let mut prod: u128 = 1;
         for &q in &moduli {
             assert!(q >= 2, "modulus {q} too small");
@@ -42,7 +56,12 @@ impl CrtBasis {
                     .expect("moduli must be pairwise coprime");
             }
         }
-        Self { moduli, inv }
+        Self {
+            moduli,
+            inv,
+            product: prod,
+            half: prod / 2,
+        }
     }
 
     /// The moduli.
@@ -62,7 +81,7 @@ impl CrtBasis {
 
     /// The modulus product `Q`.
     pub fn product(&self) -> u128 {
-        self.moduli.iter().map(|&q| q as u128).product()
+        self.product
     }
 
     /// Reduces an unsigned big value into residues.
@@ -90,7 +109,7 @@ impl CrtBasis {
         assert_eq!(residues.len(), self.len(), "residue count mismatch");
         // mixed-radix digits: v = d0 + d1·q0 + d2·q0·q1 + ...
         let k = self.len();
-        let mut digits = vec![0u64; k];
+        let mut digits = [0u64; MAX_LIMBS];
         for j in 0..k {
             let qj = self.moduli[j];
             // subtract the already-known digits, in Z_qj
@@ -110,7 +129,7 @@ impl CrtBasis {
         }
         let mut value: u128 = 0;
         let mut radix: u128 = 1;
-        for (&d, &m) in digits.iter().zip(&self.moduli) {
+        for (&d, &m) in digits[..k].iter().zip(&self.moduli) {
             value += d as u128 * radix;
             radix *= m as u128;
         }
@@ -120,9 +139,8 @@ impl CrtBasis {
     /// Reconstruction followed by a center lift into `(-Q/2, Q/2]`.
     pub fn reconstruct_centered(&self, residues: &[u64]) -> i128 {
         let v = self.reconstruct(residues);
-        let q = self.product();
-        if v > q / 2 {
-            v as i128 - q as i128
+        if v > self.half {
+            v as i128 - self.product as i128
         } else {
             v as i128
         }
@@ -193,6 +211,12 @@ mod tests {
     #[should_panic(expected = "pairwise coprime")]
     fn rejects_non_coprime() {
         CrtBasis::new(vec![6, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 limbs")]
+    fn rejects_more_limbs_than_the_digit_array_holds() {
+        CrtBasis::new(vec![97, 101, 103, 107]);
     }
 
     #[test]

@@ -364,6 +364,13 @@ impl Shoup {
         self.w
     }
 
+    /// The precomputed constant `⌊w·2^64/q⌋`, for kernels that keep
+    /// multiplicands and constants in split streams.
+    #[inline]
+    pub fn precomputed(&self) -> u64 {
+        self.w_shoup
+    }
+
     /// Computes `a * w mod q` (result in `[0, q)`; requires `q < 2^63`).
     #[inline]
     pub fn mul(&self, a: u64, q: u64) -> u64 {

@@ -4,13 +4,15 @@
 //! forward NTT → point-wise product → inverse NTT, i.e. Figure 4(a) of the
 //! paper. [`negacyclic_mul_naive`] is the `O(N²)` schoolbook reference
 //! (also the "direct computation in the coefficient domain" baseline of
-//! Figure 11(a)).
+//! Figure 11(a)). [`ShoupSpectrum`] hoists a *fixed* multiplicand's
+//! forward transform out of repeated products
+//! ([`negacyclic_mul_hoisted_batch_assign`]).
 
 use crate::tables::NttTables;
 use crate::transform::{
-    forward, forward_batch, inverse, inverse_batch, pointwise_mul_assign, pointwise_mul_into,
+    forward, forward_batch, inverse, inverse_batch, pointwise_mul_into, pointwise_mul_shoup_assign,
 };
-use flash_math::modular::{add_mod, mul_mod, sub_mod};
+use flash_math::modular::{add_mod, mul_mod, sub_mod, Shoup};
 use flash_runtime::U64_SCRATCH;
 
 /// Exact negacyclic product via the NTT.
@@ -44,38 +46,55 @@ pub fn negacyclic_mul_ntt_into(out: &mut [u64], a: &[u64], b: &[u64], tables: &N
     inverse(out, tables);
 }
 
-/// Exact negacyclic products of a batch of polynomials against one shared
-/// operand, written into `out` (`batch × n`, concatenated). Both transform
-/// legs run through the lane-interleaved batched kernels
-/// ([`forward_batch`] / [`inverse_batch`]), so `W` polynomials at a time
-/// share each twiddle; results are bit-identical to per-polynomial
-/// [`negacyclic_mul_ntt_into`] calls.
+/// A fixed multiplicand's forward-NTT spectrum with one Shoup constant
+/// per coefficient, in split streams (`w`, `w' = ⌊w·2^64/q⌋`).
+///
+/// Built once (one forward transform and one division per coefficient);
+/// every product against it afterwards costs one forward and one inverse
+/// transform of the *other* operand and a division-free point-wise
+/// multiply. This is how a secret key's spectrum is kept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShoupSpectrum {
+    w: Vec<u64>,
+    w_shoup: Vec<u64>,
+}
+
+impl ShoupSpectrum {
+    /// Transforms `b` (residues in `[0, q)`) and precomputes its Shoup
+    /// constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the table degree.
+    pub fn new(b: &[u64], tables: &NttTables) -> Self {
+        let q = tables.modulus();
+        let mut w = b.to_vec();
+        forward(&mut w, tables);
+        let w_shoup = w.iter().map(|&x| Shoup::new(x, q).precomputed()).collect();
+        Self { w, w_shoup }
+    }
+}
+
+/// Exact negacyclic products of a batch of polynomials (`batch × n`,
+/// concatenated, residues in `[0, q)`) against a hoisted fixed operand,
+/// in place: one lane-parallel [`forward_batch`], a Shoup point-wise
+/// multiply per polynomial, one [`inverse_batch`]. Bit-identical to
+/// [`negacyclic_mul_ntt_into`] against the operand the spectrum was built
+/// from.
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != polys.len()`, if `polys.len()` is not a
-/// multiple of the table degree, or if `shared.len()` differs from it.
-pub fn negacyclic_mul_ntt_batch_into(
-    out: &mut [u64],
-    polys: &[u64],
-    shared: &[u64],
+/// Panics if `polys.len()` is not a multiple of the table degree.
+pub fn negacyclic_mul_hoisted_batch_assign(
+    polys: &mut [u64],
+    fixed: &ShoupSpectrum,
     tables: &NttTables,
 ) {
-    let n = tables.degree();
-    assert_eq!(out.len(), polys.len(), "output batch length must match");
-    assert_eq!(
-        polys.len() % n,
-        0,
-        "batch length must be a multiple of the ring degree"
-    );
-    let mut fs = U64_SCRATCH.take_copied(shared);
-    forward(&mut fs, tables);
-    out.copy_from_slice(polys);
-    forward_batch(out, tables);
-    for chunk in out.chunks_exact_mut(n) {
-        pointwise_mul_assign(chunk, &fs, tables);
+    forward_batch(polys, tables);
+    for chunk in polys.chunks_exact_mut(tables.degree()) {
+        pointwise_mul_shoup_assign(chunk, &fixed.w, &fixed.w_shoup, tables);
     }
-    inverse_batch(out, tables);
+    inverse_batch(polys, tables);
 }
 
 /// Schoolbook negacyclic product: `c_k = Σ_{i+j=k} a_i b_j − Σ_{i+j=k+N}
@@ -208,18 +227,21 @@ mod tests {
 
     #[test]
     fn batched_mul_matches_per_polynomial() {
-        let t = tables(64, 40);
+        let t = tables(64, 50);
         let q = t.modulus();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let shared: Vec<u64> = (0..64).map(|_| rng.gen_range(0..q)).collect();
-        for batch in [0usize, 1, 3, 8, 9] {
+        let spectrum = ShoupSpectrum::new(&shared, &t);
+        for batch in [0usize, 1, 2, 3, 5, 8, 9] {
             let polys: Vec<u64> = (0..batch * 64).map(|_| rng.gen_range(0..q)).collect();
-            let mut got = vec![0u64; polys.len()];
-            negacyclic_mul_ntt_batch_into(&mut got, &polys, &shared, &t);
+            let mut got = polys.clone();
+            negacyclic_mul_hoisted_batch_assign(&mut got, &spectrum, &t);
             for b in 0..batch {
+                let poly = &polys[b * 64..(b + 1) * 64];
                 let mut want = vec![0u64; 64];
-                negacyclic_mul_ntt_into(&mut want, &polys[b * 64..(b + 1) * 64], &shared, &t);
+                negacyclic_mul_ntt_into(&mut want, poly, &shared, &t);
                 assert_eq!(&got[b * 64..(b + 1) * 64], &want[..], "batch={batch} b={b}");
+                assert_eq!(want, negacyclic_mul_naive(poly, &shared, q));
             }
         }
     }

@@ -15,6 +15,16 @@
 //! 3. Garner-reconstruct the centered integer product and truncate it
 //!    back modulo `2^l` (a wrapping cast + mask).
 //!
+//! A small operand that multiplies many others — a secret key — is
+//! *hoisted* once ([`Pow2Ring::hoist_small`]): its per-limb spectra are
+//! kept in Shoup form, so each later product
+//! ([`Pow2Ring::mul_hoisted_batch_into`]) transforms only the other
+//! operand and recombines through a division-free two-limb Garner step.
+//! [`Pow2Ring::negacyclic_mul_small_into`] transforms both operands and
+//! recombines through the general [`CrtBasis`]; it serves operands that
+//! are fresh per call (public-key encryption randomness) and is the
+//! hoisted path's test oracle.
+//!
 //! Exactness requires the true integer product to fit the CRT range:
 //! every coefficient of `a·b mod (X^N + 1)` is a sum of `N` terms bounded
 //! by `(q/2)·‖b‖_∞`, so the basis product `P ≈ 2^100` covers
@@ -24,10 +34,10 @@
 //! full-magnitude operands. The API is therefore named and guarded for a
 //! small second operand.
 
-use crate::polymul::negacyclic_mul_ntt_into;
+use crate::polymul::{negacyclic_mul_hoisted_batch_assign, negacyclic_mul_ntt_into, ShoupSpectrum};
 use crate::tables::NttTables;
 use flash_math::crt::CrtBasis;
-use flash_math::modular::{center_lift, from_signed};
+use flash_math::modular::{center_lift, from_signed, inv_mod, Barrett, Shoup};
 use flash_math::pow2::is_pow2_modulus;
 use flash_runtime::U64_SCRATCH;
 use std::sync::Arc;
@@ -44,8 +54,57 @@ pub struct Pow2Ring {
     mask: u64,
     limbs: Vec<Arc<NttTables>>,
     crt: CrtBasis,
+    /// Division-free lift into each limb.
+    lifts: [Barrett; 2],
+    garner: Garner2,
     /// Largest `‖b‖_∞` for which the CRT lift is provably exact.
     max_small: u64,
+}
+
+/// Garner recombination specialised to two limbs `p0, p1` with
+/// `p0 < 2·p1`: `v = r0 + p0·((r1 − r0)·p0⁻¹ mod p1)`, centered into
+/// `(−P/2, P/2]` and truncated mod `2^64`. One Shoup multiply, no
+/// division, no allocation; the same value as
+/// [`CrtBasis::reconstruct_centered`].
+#[derive(Debug)]
+struct Garner2 {
+    p0: u64,
+    p1: u64,
+    /// `p0⁻¹ mod p1`.
+    p0_inv: Shoup,
+    /// `P = p0·p1`.
+    product: u128,
+    /// `⌊P/2⌋`.
+    half: u128,
+}
+
+impl Garner2 {
+    fn new(p0: u64, p1: u64) -> Self {
+        assert!(p0 < 2 * p1, "two-limb Garner needs p0 < 2·p1");
+        let inv = inv_mod(p0 % p1, p1).expect("CRT limbs are coprime");
+        let product = p0 as u128 * p1 as u128;
+        Self {
+            p0,
+            p1,
+            p0_inv: Shoup::new(inv, p1),
+            product,
+            half: product / 2,
+        }
+    }
+
+    /// The centered integer with residues `(r0, r1)`, modulo `2^64`.
+    #[inline(always)]
+    fn centered_wrapping(&self, r0: u64, r1: u64) -> u64 {
+        // r0 < p0 < 2·p1, so r1 + 2·p1 − r0 is positive; the Shoup
+        // multiply reduces any u64 operand.
+        let d = self.p0_inv.mul(r1 + 2 * self.p1 - r0, self.p1);
+        let v = r0 as u128 + d as u128 * self.p0 as u128;
+        if v > self.half {
+            (v as u64).wrapping_sub(self.product as u64)
+        } else {
+            v as u64
+        }
+    }
 }
 
 impl Pow2Ring {
@@ -67,6 +126,8 @@ impl Pow2Ring {
             .iter()
             .map(|&p| NttTables::shared(n, p).expect("helper prime admits an NTT"))
             .collect();
+        let lifts = [Barrett::new(primes[0]), Barrett::new(primes[1])];
+        let garner = Garner2::new(primes[0], primes[1]);
         let crt = CrtBasis::new(primes);
         // N · (q/2) · max_small < P/2  ⇒  max_small < P / (N·q).
         let max_small = (crt.product() / (n as u128 * q as u128) / 2) as u64;
@@ -76,6 +137,8 @@ impl Pow2Ring {
             mask: q - 1,
             limbs,
             crt,
+            lifts,
+            garner,
             max_small,
         }
     }
@@ -107,8 +170,11 @@ impl Pow2Ring {
     /// so the integer product fits the CRT range. Ternary secrets and
     /// encryption randomness always qualify.
     ///
-    /// Cost: two Shoup-NTT multiplies plus a Garner recombination —
-    /// this runs once per key operation, never on the MAC path.
+    /// Cost: two full NTT products (both operands transformed) plus a
+    /// general Garner recombination per call. For a small operand that
+    /// is reused — a secret key — [`hoist_small`](Self::hoist_small) and
+    /// [`mul_hoisted_batch_into`](Self::mul_hoisted_batch_into) skip its
+    /// transforms and the general recombination.
     ///
     /// # Panics
     ///
@@ -150,6 +216,82 @@ impl Pow2Ring {
         let mut out = vec![0u64; self.degree()];
         self.negacyclic_mul_small_into(&mut out, a, b);
         out
+    }
+
+    /// Center-lifts `a ∈ Z_{2^l}` into both limbs at once, division-free.
+    #[inline(always)]
+    fn lift_into(&self, l0: &mut [u64], l1: &mut [u64], a: &[u64]) {
+        for ((x0, x1), &ai) in l0.iter_mut().zip(l1.iter_mut()).zip(a) {
+            let c = center_lift(ai & self.mask, self.q);
+            *x0 = self.lifts[0].from_signed(c);
+            *x1 = self.lifts[1].from_signed(c);
+        }
+    }
+
+    /// Hoists a *small* operand `b` (same contract as
+    /// [`negacyclic_mul_small_into`](Self::negacyclic_mul_small_into)):
+    /// its forward spectrum in each CRT limb, in Shoup form. Built once
+    /// per operand; `2 · 16 · N` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch; debug-asserts the smallness bound.
+    pub fn hoist_small(&self, b: &[u64]) -> Vec<ShoupSpectrum> {
+        let n = self.degree();
+        assert_eq!(b.len(), n, "operand length mismatch");
+        debug_assert!(
+            b.iter()
+                .all(|&x| center_lift(x & self.mask, self.q).unsigned_abs() <= self.max_small),
+            "operand too large for an exact CRT lift"
+        );
+        let mut l0 = vec![0u64; n];
+        let mut l1 = vec![0u64; n];
+        self.lift_into(&mut l0, &mut l1, b);
+        vec![
+            ShoupSpectrum::new(&l0, &self.limbs[0]),
+            ShoupSpectrum::new(&l1, &self.limbs[1]),
+        ]
+    }
+
+    /// Exact negacyclic products `out_k = a_k · b mod (X^N + 1, 2^l)` for
+    /// a batch of operands `a_k` (one per `N`-chunk of `out`) against a
+    /// small operand hoisted by [`hoist_small`](Self::hoist_small).
+    ///
+    /// Per limb: a division-free lift of the batch, one lane-parallel
+    /// forward transform, a Shoup point-wise product, one inverse; then a
+    /// two-limb Garner step per coefficient. Bit-identical to
+    /// [`negacyclic_mul_small_into`](Self::negacyclic_mul_small_into)
+    /// against the hoisted operand; allocates nothing at steady state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not a multiple of `N`, an operand's
+    /// length differs from `N`, `a` does not yield exactly
+    /// `out.len() / N` operands, or `b` is not a two-limb hoist.
+    pub fn mul_hoisted_batch_into<'a>(
+        &self,
+        out: &mut [u64],
+        a: impl IntoIterator<Item = &'a [u64]>,
+        b: &[ShoupSpectrum],
+    ) {
+        let n = self.degree();
+        assert_eq!(out.len() % n, 0, "output length must be a multiple of N");
+        assert_eq!(b.len(), 2, "expected a two-limb hoisted operand");
+        // Limb 0 lives in `out` itself, limb 1 in one scratch buffer; the
+        // Garner step then recombines in place.
+        let mut l1 = U64_SCRATCH.take(out.len());
+        let mut a = a.into_iter();
+        for (x0, x1) in out.chunks_exact_mut(n).zip(l1.chunks_exact_mut(n)) {
+            let ak = a.next().expect("fewer operands than the output batch");
+            assert_eq!(ak.len(), n, "operand length mismatch");
+            self.lift_into(x0, x1, ak);
+        }
+        assert!(a.next().is_none(), "more operands than the output batch");
+        negacyclic_mul_hoisted_batch_assign(out, &b[0], &self.limbs[0]);
+        negacyclic_mul_hoisted_batch_assign(&mut l1, &b[1], &self.limbs[1]);
+        for (o, &r1) in out.iter_mut().zip(l1.iter()) {
+            *o = self.garner.centered_wrapping(*o, r1) & self.mask;
+        }
     }
 }
 
@@ -215,6 +357,56 @@ mod tests {
             ring.negacyclic_mul_small(&a, &b),
             negacyclic_mul_wrapping(&a, &b, q)
         );
+    }
+
+    #[test]
+    fn hoisted_batch_matches_transforming_both_operands() {
+        for (n, l) in [(8usize, 62u32), (64, 62), (64, 40), (256, 62)] {
+            let ring = Pow2Ring::new(n, l);
+            let q = ring.modulus();
+            let mut s = 0x5EED ^ n as u64;
+            let b: Vec<u64> = (0..n)
+                .map(|_| match lcg(&mut s) % 3 {
+                    0 => 0,
+                    1 => 1,
+                    _ => q - 1,
+                })
+                .collect();
+            let hoisted = ring.hoist_small(&b);
+            // Center-lift boundary values plus random residues.
+            let mut a: Vec<u64> = vec![0, 1, q / 2, q / 2 + 1, q - 1];
+            a.extend((0..3 * n - 5).map(|_| lcg(&mut s) & (q - 1)));
+            let mut got = vec![0u64; a.len()];
+            ring.mul_hoisted_batch_into(&mut got, a.chunks_exact(n), &hoisted);
+            for (k, ak) in a.chunks_exact(n).enumerate() {
+                assert_eq!(
+                    &got[k * n..(k + 1) * n],
+                    &ring.negacyclic_mul_small(ak, &b)[..],
+                    "n={n} l={l} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_limb_garner_matches_general_basis() {
+        let ring = Pow2Ring::new(64, 62);
+        let (p0, p1) = (ring.garner.p0, ring.garner.p1);
+        let mut s = 0x6A7u64;
+        let mut cases: Vec<(u64, u64)> = vec![(0, 0), (p0 - 1, p1 - 1), (0, p1 - 1), (p0 - 1, 0)];
+        // The center-lift threshold ⌊P/2⌋ and its neighbours.
+        let half = ring.garner.half;
+        for v in [half - 1, half, half + 1] {
+            cases.push(((v % p0 as u128) as u64, (v % p1 as u128) as u64));
+        }
+        cases.extend((0..2000).map(|_| (lcg(&mut s) % p0, lcg(&mut s) % p1)));
+        for (r0, r1) in cases {
+            assert_eq!(
+                ring.garner.centered_wrapping(r0, r1),
+                ring.crt.reconstruct_centered(&[r0, r1]) as u64,
+                "residues ({r0}, {r1})"
+            );
+        }
     }
 
     #[test]

@@ -399,6 +399,62 @@ pub fn pointwise_mul_acc_shoup(acc: &mut [u64], a: &[u64], b: &[Shoup], tables: 
     }
 }
 
+/// In-place point-wise product against a fixed operand held in split
+/// Shoup streams: `a[i] = a[i] · w[i] mod q`, where `w_shoup[i] =
+/// ⌊w[i]·2^64/q⌋`. Two multiplies and one compare-subtract per element,
+/// no division; bit-identical to [`pointwise_mul_assign`] for reduced
+/// `w`, and `a` need not be reduced. The form a *hoisted* multiplicand
+/// (a secret key's spectrum, computed once) is applied in.
+///
+/// # Panics
+///
+/// Panics on length mismatch with the tables.
+pub fn pointwise_mul_shoup_assign(a: &mut [u64], w: &[u64], w_shoup: &[u64], tables: &NttTables) {
+    let n = tables.degree();
+    assert_eq!(a.len(), n);
+    assert_eq!(w.len(), n);
+    assert_eq!(w_shoup.len(), n);
+    let q = tables.modulus();
+    match simd::level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { mul_shoup_avx512(a, w, w_shoup, q) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { mul_shoup_avx2(a, w, w_shoup, q) },
+        _ => mul_shoup_scalar(a, w, w_shoup, q),
+    }
+}
+
+/// Shared loop of the [`pointwise_mul_shoup_assign`] dispatch targets:
+/// [`Shoup::mul`] inlined over split streams, with a select instead of a
+/// branch for the final subtraction.
+#[inline(always)]
+fn mul_shoup_scalar(a: &mut [u64], w: &[u64], w_shoup: &[u64], q: u64) {
+    for i in 0..a.len() {
+        let ai = a[i];
+        let hi = ((w_shoup[i] as u128 * ai as u128) >> 64) as u64;
+        let r = w[i].wrapping_mul(ai).wrapping_sub(hi.wrapping_mul(q));
+        a[i] = if r >= q { r - q } else { r };
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2 (guaranteed by the dispatch).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_shoup_avx2(a: &mut [u64], w: &[u64], w_shoup: &[u64], q: u64) {
+    mul_shoup_scalar(a, w, w_shoup, q);
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F/DQ (guaranteed by the dispatch).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn mul_shoup_avx512(a: &mut [u64], w: &[u64], w_shoup: &[u64], q: u64) {
+    mul_shoup_scalar(a, w, w_shoup, q);
+}
+
 /// The branchless Shoup MAC loop all [`pointwise_mul_acc_shoup`]
 /// dispatch targets share: compare-subtract selects instead of branches
 /// so the auto-vectorizer can turn the whole body into lane-parallel
@@ -653,6 +709,29 @@ mod tests {
         let br = flash_math::modular::Barrett::new(q);
         br.reduce_slice(&mut acc_lazy);
         assert_eq!(acc_eager, acc_lazy);
+    }
+
+    #[test]
+    fn split_shoup_pointwise_matches_plain() {
+        let t = tables(64, 50);
+        let q = t.modulus();
+        let mut x = 5u64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            x
+        };
+        let w: Vec<u64> = (0..64).map(|_| next() % q).collect();
+        let w_shoup: Vec<u64> = w.iter().map(|&v| Shoup::new(v, q).precomputed()).collect();
+        // Unreduced operands (up to 2^64 − 1) are accepted and reduced.
+        let a: Vec<u64> = (0..64).map(|_| next()).collect();
+        let mut got = a.clone();
+        pointwise_mul_shoup_assign(&mut got, &w, &w_shoup, &t);
+        let want: Vec<u64> = a
+            .iter()
+            .zip(&w)
+            .map(|(&x, &y)| mul_mod(x % q, y, q))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -204,21 +204,29 @@ impl Client {
         let out_len = shape.output_len();
         let mut y_client = vec![0u64; out_len];
         let mut band_vals = vec![0i64; out_len];
-        for (u, bytes) in blobs.iter().enumerate() {
-            let (oc, b) = (u / bands, u % bands);
-            let ct = match self.truncation {
-                None => {
-                    let ct = serialize::ciphertext_from_bytes(bytes, p.n, p.q)?;
-                    ct.validate_for(p)?;
-                    ct
-                }
-                Some((d0, d1)) => TruncatedCiphertext::from_bytes(bytes, d0, d1, p)?.reconstruct(p),
-            };
-            let m = self.sk.try_decrypt(&ct)?;
-            let coeffs: Vec<i64> = m.coeffs().iter().map(|&v| v as i64).collect();
-            band_vals.iter_mut().for_each(|v| *v = 0);
-            self.encoder.decode_band(&coeffs, b, oc, &mut band_vals);
-            merge_band(&self.encoder, &band_vals, b, oc, &mut y_client);
+        // Decrypt in blocks of `simd::lanes()` responses, so each block
+        // shares its lane-parallel transforms.
+        let lanes = flash_runtime::simd::lanes();
+        for (block_idx, block) in blobs.chunks(lanes).enumerate() {
+            let cts = block
+                .iter()
+                .map(|bytes| match self.truncation {
+                    None => Ok(serialize::ciphertext_from_bytes(bytes, p.n, p.q)?),
+                    Some((d0, d1)) => {
+                        Ok(TruncatedCiphertext::from_bytes(bytes, d0, d1, p)?.reconstruct(p))
+                    }
+                })
+                .collect::<Result<Vec<_>, ServeError>>()?;
+            let ms = self.sk.try_decrypt_batch(&cts)?;
+            drop(cts);
+            for (i, m) in ms.into_iter().enumerate() {
+                let u = block_idx * lanes + i;
+                let (oc, b) = (u / bands, u % bands);
+                let coeffs: Vec<i64> = m.coeffs().iter().map(|&v| v as i64).collect();
+                band_vals.iter_mut().for_each(|v| *v = 0);
+                self.encoder.decode_band(&coeffs, b, oc, &mut band_vals);
+                merge_band(&self.encoder, &band_vals, b, oc, &mut y_client);
+            }
         }
         Ok((req_id, y_client))
     }

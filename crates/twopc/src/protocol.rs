@@ -308,16 +308,17 @@ impl ConvProtocol {
         // --- Client: encode its share per tile, encrypt, and upload the
         // serialized ciphertexts.
         let enc = &self.encoder;
-        let encode_span = flash_telemetry::span!("hconv.encode");
-        let client_tiles = enc.encode_activation(&xc_signed);
-        let cts: Vec<Ciphertext> = client_tiles
-            .iter()
-            .map(|tile| {
-                let m = Poly::from_signed(tile, p.t);
-                sk.encrypt(&m, rng)
-            })
-            .collect();
-        drop(encode_span);
+        let plaintexts: Vec<Poly> = {
+            let _t = flash_telemetry::span!("hconv.encode");
+            enc.encode_activation(&xc_signed)
+                .iter()
+                .map(|tile| Poly::from_signed(tile, p.t))
+                .collect()
+        };
+        let cts: Vec<Ciphertext> = {
+            let _t = flash_telemetry::span!("hconv.encrypt");
+            plaintexts.iter().map(|m| sk.encrypt(m, rng)).collect()
+        };
         stats.ciphertexts_up = cts.len();
         {
             let _t = flash_telemetry::span!("hconv.wire_serialize");
@@ -529,29 +530,43 @@ impl ConvProtocol {
 
         // --- Client: drain the downlink (sequential — the transport owns
         // delivery order and recovery), then deserialize, validate,
-        // decrypt and decode in parallel; the merge stays sequential.
+        // decrypt and decode in parallel, one block of `simd::lanes()`
+        // responses per batched decryption; the merge stays sequential.
         let mut received = Vec::with_capacity(order.len());
         for (b, oc) in order {
             received.push((b, oc, down.recv()?));
         }
-        let decoded = flash_runtime::parallel_map(&received, |(b, oc, bytes)| {
+        let blocks: Vec<_> = received.chunks(flash_runtime::simd::lanes()).collect();
+        let decoded = flash_runtime::parallel_map(&blocks, |block| {
             let _t = flash_telemetry::span!("hconv.decrypt");
-            let ct = match self.truncation {
-                None => {
-                    let ct = serialize::ciphertext_from_bytes(bytes, p.n, p.q)?;
-                    ct.validate_for(p)?;
-                    ct
-                }
-                Some((d0, d1)) => TruncatedCiphertext::from_bytes(bytes, d0, d1, p)?.reconstruct(p),
-            };
-            let m = sk.try_decrypt(&ct)?;
-            let coeffs: Vec<i64> = m.coeffs().iter().map(|&v| v as i64).collect();
-            let mut tmp = vec![0i64; out_len];
-            enc.decode_band(&coeffs, *b, *oc, &mut tmp);
-            Ok::<_, FlashError>(tmp)
+            let cts = block
+                .iter()
+                .map(|(_, _, bytes)| match self.truncation {
+                    None => Ok(serialize::ciphertext_from_bytes(bytes, p.n, p.q)?),
+                    Some((d0, d1)) => {
+                        Ok(TruncatedCiphertext::from_bytes(bytes, d0, d1, p)?.reconstruct(p))
+                    }
+                })
+                .collect::<Result<Vec<Ciphertext>, FlashError>>()?;
+            let ms = sk.try_decrypt_batch(&cts)?;
+            drop(cts);
+            Ok::<_, FlashError>(
+                block
+                    .iter()
+                    .zip(ms)
+                    .map(|((b, oc, _), m)| {
+                        let coeffs: Vec<i64> = m.coeffs().iter().map(|&v| v as i64).collect();
+                        let mut tmp = vec![0i64; out_len];
+                        enc.decode_band(&coeffs, *b, *oc, &mut tmp);
+                        tmp
+                    })
+                    .collect::<Vec<_>>(),
+            )
         });
-        for ((b, oc, _), tmp) in received.iter().zip(decoded) {
-            self.merge_band(&tmp?, *b, *oc, &mut y_client);
+        for (block, tmps) in blocks.iter().zip(decoded) {
+            for ((b, oc, _), tmp) in block.iter().zip(tmps?) {
+                self.merge_band(&tmp, *b, *oc, &mut y_client);
+            }
         }
 
         let wire = up.stats().merge(down.stats());
